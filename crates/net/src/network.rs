@@ -11,12 +11,23 @@
 //! topology and spawn processes in the same order so the indices line up
 //! (the `riot-core` scenario builder enforces this).
 //!
-//! riot-lint: allow-file(P1, reason = "dense ProcessId-indexed adjacency/dist vectors and the link table are indexed under the identity convention above; every id is minted by add_node in this module")
+//! **Routing.** Paths come from shortest-path trees, one full Dijkstra per
+//! root, cached until the next topology change. A tree marks every node
+//! that a second equal-cost shortest path reaches (*tied*). A unique
+//! shortest path is the same whichever endpoint searches, so the tree
+//! rooted at the smaller endpoint answers it. A tied pair is answered by
+//! the tree rooted at the asking endpoint, which is exactly the path an
+//! early-exit search from that endpoint finds (a settled node's parent
+//! never changes), and is then pinned, with its reverse, in a pair cache
+//! until the next topology change. DESIGN.md §14 has the full argument.
+//!
+//! riot-lint: allow-file(P1, reason = "dense ProcessId-indexed adjacency/dist/tree vectors and the link table are indexed under the identity convention above; every id is minted by add_node in this module and every link index by add_link")
 
 use crate::latency::LatencyModel;
 use riot_sim::{Delivery, Medium, ProcessId, SimDuration, SimRng, SimTime};
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// The role a node plays in the IoT landscape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,6 +63,12 @@ impl Link {
     pub fn lossless(latency: LatencyModel) -> Self {
         Link { latency, loss: 0.0 }
     }
+
+    /// The routing weight: mean latency in µs, at least 1 (so every hop
+    /// costs something and Dijkstra settles nodes in path order).
+    fn weight(&self) -> u64 {
+        self.latency.mean().as_micros().max(1)
+    }
 }
 
 fn key(a: ProcessId, b: ProcessId) -> (usize, usize) {
@@ -62,11 +79,55 @@ fn key(a: ProcessId, b: ProcessId) -> (usize, usize) {
     }
 }
 
+/// One direction of a link in a node's adjacency list, carrying everything
+/// a Dijkstra relaxation reads so that it does no lookup.
+#[derive(Debug, Clone, Copy)]
+struct Neighbor {
+    node: u32,
+    /// Index of the link in [`Network::links`].
+    link: u32,
+    /// [`Link::weight`] of the link, or [`CUT`] while it is cut (set in
+    /// both directions' entries).
+    weight: u64,
+}
+
+/// The weight of a cut link: no path uses it.
+const CUT: u64 = u64::MAX;
+
+/// One row of the flat link table.
+#[derive(Debug, Clone, Copy)]
+struct LinkSlot {
+    /// The endpoints in key order (`a < b`).
+    a: u32,
+    b: u32,
+    link: Link,
+    /// Latency multiplier of a degraded link; `None` when healthy.
+    factor: Option<f64>,
+}
+
+impl LinkSlot {
+    /// The endpoints in key order.
+    fn ends(&self) -> (usize, usize) {
+        (self.a as usize, self.b as usize)
+    }
+}
+
+/// One node of a shortest-path tree.
+#[derive(Debug, Clone, Copy)]
+struct TreeNode {
+    /// The next node towards the root; [`UNREACHED`] when no path exists.
+    parent: u32,
+    /// A second equal-cost shortest path from the root reaches this node.
+    tied: bool,
+}
+
+const UNREACHED: u32 = u32::MAX;
+
 /// One hop of a fully resolved route, flattened for the per-message hot
 /// path: the link's loss and latency model plus its degradation factor
-/// (`None` when the link is not in the degraded table, mirroring the
-/// conditional `mul_f64` of the uncached path exactly — applying a 1.0
-/// factor is not a bit-exact identity through `f64` seconds).
+/// (`None` when the link is not degraded, mirroring the conditional
+/// `mul_f64` exactly — applying a 1.0 factor is not a bit-exact identity
+/// through `f64` seconds).
 #[derive(Debug, Clone, Copy)]
 struct CachedHop {
     loss: f64,
@@ -102,21 +163,31 @@ type RouteTable = Vec<(u32, Option<Box<[CachedHop]>>)>;
 #[derive(Debug)]
 pub struct Network {
     nodes: Vec<NodeInfo>,
-    links: BTreeMap<(usize, usize), Link>,
-    adjacency: Vec<Vec<usize>>,
-    cut: BTreeSet<(usize, usize)>,
-    /// Latency multipliers for degraded links (congestion, interference).
-    degraded: BTreeMap<(usize, usize), f64>,
+    /// `adjacency[n]` lists `n`'s links in insertion order, which fixes
+    /// Dijkstra's tie-breaking.
+    adjacency: Vec<Vec<Neighbor>>,
+    /// Every link once, in no particular order (removal swaps the last
+    /// row into the hole).
+    links: Vec<LinkSlot>,
+    /// Degradation factors of removed links, keyed by endpoints: a link
+    /// re-added between the same nodes inherits its factor.
+    detached_factors: BTreeMap<(usize, usize), f64>,
     per_hop_overhead: SimDuration,
     external_latency: SimDuration,
-    path_cache: BTreeMap<(usize, usize), Option<Vec<usize>>>,
+    /// Shortest-path trees by root, built on demand.
+    trees: BTreeMap<usize, Box<[TreeNode]>>,
+    /// Paths of tied pairs, in the direction first asked plus its reverse.
+    path_cache: BTreeMap<(usize, usize), Vec<usize>>,
     /// Flattened per-hop route data: `routes[from]` is sorted by
     /// destination, so the per-message lookup is one index plus a binary
     /// search over that sender's (few) known destinations. `None` records a
-    /// partition. Rebuilt lazily from `path_indices` + `links` + `degraded`;
-    /// cleared by [`Network::invalidate`] and by degradation changes (which
-    /// leave `path_cache` alone — degradation is invisible to routing).
+    /// partition. Rebuilt lazily from `path_indices` + `links`; cleared by
+    /// [`Network::invalidate`] and by degradation changes (which leave the
+    /// trees and `path_cache` alone — degradation is invisible to routing).
     routes: Vec<RouteTable>,
+    /// Dijkstra work buffers, reused across tree builds.
+    dist: Vec<u64>,
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
 }
 
 impl Network {
@@ -124,14 +195,16 @@ impl Network {
     pub fn new() -> Self {
         Network {
             nodes: Vec::new(),
-            links: BTreeMap::new(),
             adjacency: Vec::new(),
-            cut: BTreeSet::new(),
-            degraded: BTreeMap::new(),
+            links: Vec::new(),
+            detached_factors: BTreeMap::new(),
             per_hop_overhead: SimDuration::ZERO,
             external_latency: SimDuration::ZERO,
+            trees: BTreeMap::new(),
             path_cache: BTreeMap::new(),
             routes: Vec::new(),
+            dist: Vec::new(),
+            heap: BinaryHeap::new(),
         }
     }
 
@@ -164,10 +237,32 @@ impl Network {
             a.0 < self.nodes.len() && b.0 < self.nodes.len(),
             "unknown endpoint"
         );
-        let k = key(a, b);
-        if self.links.insert(k, link).is_none() {
-            self.adjacency[a.0].push(b.0);
-            self.adjacency[b.0].push(a.0);
+        if let Some(nb) = self.find(a.0, b.0) {
+            // Replacement keeps the link's cut state, degradation and
+            // adjacency position.
+            let i = nb.link as usize;
+            let weight = if nb.weight == CUT { CUT } else { link.weight() };
+            let slot = &mut self.links[i];
+            slot.link = link;
+            let (x, y) = slot.ends();
+            self.neighbor_mut(x, i).weight = weight;
+            self.neighbor_mut(y, i).weight = weight;
+        } else {
+            let (x, y) = key(a, b);
+            let (index, weight) = (self.links.len() as u32, link.weight());
+            self.links.push(LinkSlot {
+                a: x as u32,
+                b: y as u32,
+                link,
+                factor: self.detached_factors.remove(&(x, y)),
+            });
+            for (from, to) in [(a.0, b.0), (b.0, a.0)] {
+                self.adjacency[from].push(Neighbor {
+                    node: to as u32,
+                    link: index,
+                    weight,
+                });
+            }
         }
         self.invalidate();
     }
@@ -175,12 +270,19 @@ impl Network {
     /// Removes a link entirely (distinct from cutting, which is reversible
     /// via [`Network::heal_all`]).
     pub fn remove_link(&mut self, a: ProcessId, b: ProcessId) {
-        let k = key(a, b);
-        if self.links.remove(&k).is_some() {
-            self.adjacency[a.0].retain(|&n| n != b.0);
-            self.adjacency[b.0].retain(|&n| n != a.0);
+        if let Some(i) = self.link_index(a, b) {
+            self.adjacency[a.0].retain(|n| n.node as usize != b.0);
+            self.adjacency[b.0].retain(|n| n.node as usize != a.0);
+            let slot = self.links.swap_remove(i);
+            if let Some(f) = slot.factor {
+                self.detached_factors.insert(slot.ends(), f);
+            }
+            if let Some((x, y)) = self.links.get(i).map(LinkSlot::ends) {
+                let last = self.links.len();
+                self.neighbor_mut(x, last).link = i as u32;
+                self.neighbor_mut(y, last).link = i as u32;
+            }
         }
-        self.cut.remove(&k);
         self.invalidate();
     }
 
@@ -213,27 +315,29 @@ impl Network {
     /// Cuts one link (both directions). Cut links drop every message until
     /// healed.
     pub fn cut_link(&mut self, a: ProcessId, b: ProcessId) {
-        if self.links.contains_key(&key(a, b)) {
-            self.cut.insert(key(a, b));
+        if let Some(i) = self.link_index(a, b) {
+            self.set_cut(i, true);
             self.invalidate();
         }
     }
 
     /// Restores one previously cut link.
     pub fn restore_link(&mut self, a: ProcessId, b: ProcessId) {
-        if self.cut.remove(&key(a, b)) {
-            self.invalidate();
+        if let Some(i) = self.link_index(a, b) {
+            if self.set_cut(i, false) {
+                self.invalidate();
+            }
         }
     }
 
     /// Cuts every link adjacent to `n`, isolating it. Returns the links
     /// that were newly cut, so a healer can restore exactly them.
     pub fn isolate(&mut self, n: ProcessId) -> Vec<(ProcessId, ProcessId)> {
-        let neighbors: Vec<usize> = self.adjacency[n.0].clone();
         let mut newly_cut = Vec::new();
-        for m in neighbors {
-            if self.cut.insert(key(n, ProcessId(m))) {
-                newly_cut.push((n, ProcessId(m)));
+        for j in 0..self.adjacency[n.0].len() {
+            let nb = self.adjacency[n.0][j];
+            if self.set_cut(nb.link as usize, true) {
+                newly_cut.push((n, ProcessId(nb.node as usize)));
             }
         }
         self.invalidate();
@@ -242,17 +346,17 @@ impl Network {
 
     /// Restores every link adjacent to `n`.
     pub fn rejoin(&mut self, n: ProcessId) {
-        let neighbors: Vec<usize> = self.adjacency[n.0].clone();
-        for m in neighbors {
-            self.cut.remove(&key(n, ProcessId(m)));
+        for j in 0..self.adjacency[n.0].len() {
+            let link = self.adjacency[n.0][j].link;
+            self.set_cut(link as usize, false);
         }
         self.invalidate();
     }
 
     /// Partitions the network into the given groups: every link whose
     /// endpoints fall in different groups is cut. Nodes not mentioned keep
-    /// all their links. Returns the links that were newly cut, so a healer
-    /// can restore exactly them.
+    /// all their links. Returns the links that were newly cut, in
+    /// endpoint order, so a healer can restore exactly them.
     pub fn partition(&mut self, groups: &[Vec<ProcessId>]) -> Vec<(ProcessId, ProcessId)> {
         let mut group_of: BTreeMap<usize, usize> = BTreeMap::new();
         for (gi, members) in groups.iter().enumerate() {
@@ -260,22 +364,28 @@ impl Network {
                 group_of.insert(m.0, gi);
             }
         }
-        let keys: Vec<(usize, usize)> = self.links.keys().copied().collect();
         let mut newly_cut = Vec::new();
-        for (a, b) in keys {
+        for i in 0..self.links.len() {
+            let (a, b) = self.links[i].ends();
             if let (Some(ga), Some(gb)) = (group_of.get(&a), group_of.get(&b)) {
-                if ga != gb && self.cut.insert((a, b)) {
+                if ga != gb && self.set_cut(i, true) {
                     newly_cut.push((ProcessId(a), ProcessId(b)));
                 }
             }
         }
+        newly_cut.sort_unstable();
         self.invalidate();
         newly_cut
     }
 
     /// Heals every cut link.
     pub fn heal_all(&mut self) {
-        self.cut.clear();
+        let links = &self.links;
+        for nb in self.adjacency.iter_mut().flatten() {
+            if nb.weight == CUT {
+                nb.weight = links[nb.link as usize].link.weight();
+            }
+        }
         self.invalidate();
     }
 
@@ -285,8 +395,8 @@ impl Network {
     /// are unchanged — congestion is invisible to the (static) routing
     /// tables, as in real IP networks.
     pub fn degrade_link(&mut self, a: ProcessId, b: ProcessId, factor: f64) {
-        if self.links.contains_key(&key(a, b)) {
-            self.degraded.insert(key(a, b), factor.max(1.0));
+        if let Some(i) = self.link_index(a, b) {
+            self.links[i].factor = Some(factor.max(1.0));
             // Routing is unaffected, but cached hop factors are now stale.
             self.clear_routes();
         }
@@ -294,20 +404,27 @@ impl Network {
 
     /// Removes any degradation from a link.
     pub fn restore_link_quality(&mut self, a: ProcessId, b: ProcessId) {
-        if self.degraded.remove(&key(a, b)).is_some() {
+        let restored = match self.link_index(a, b) {
+            Some(i) => self.links[i].factor.take().is_some(),
+            None => self.detached_factors.remove(&key(a, b)).is_some(),
+        };
+        if restored {
             self.clear_routes();
         }
     }
 
     /// The current degradation factor of a link (1.0 when healthy).
     pub fn degradation(&self, a: ProcessId, b: ProcessId) -> f64 {
-        self.degraded.get(&key(a, b)).copied().unwrap_or(1.0)
+        match self.link_index(a, b) {
+            Some(i) => self.links[i].factor,
+            None => self.detached_factors.get(&key(a, b)).copied(),
+        }
+        .unwrap_or(1.0)
     }
 
     /// `true` if a usable (existing and not cut) link joins `a` and `b`.
     pub fn link_usable(&self, a: ProcessId, b: ProcessId) -> bool {
-        let k = key(a, b);
-        self.links.contains_key(&k) && !self.cut.contains(&k)
+        self.find(a.0, b.0).is_some_and(|nb| nb.weight != CUT)
     }
 
     /// Moves a device to a new parent: all current links of `dev` are
@@ -315,9 +432,9 @@ impl Network {
     /// primitive (a phone roaming between gateways, a vehicle between road-
     /// side units).
     pub fn reattach(&mut self, dev: ProcessId, parent: ProcessId, link: Link) {
-        let neighbors: Vec<usize> = self.adjacency[dev.0].clone();
-        for m in neighbors {
-            self.remove_link(dev, ProcessId(m));
+        while let Some(nb) = self.adjacency[dev.0].first() {
+            let m = ProcessId(nb.node as usize);
+            self.remove_link(dev, m);
         }
         self.add_link(dev, parent, link);
     }
@@ -338,7 +455,48 @@ impl Network {
         self.path_indices(from.0, to.0).is_some()
     }
 
+    /// The adjacency entry of the link joining `a` and `b`, found by a
+    /// scan of the shorter of the two adjacency lists.
+    fn find(&self, a: usize, b: usize) -> Option<Neighbor> {
+        let (na, nb) = (self.adjacency.get(a)?, self.adjacency.get(b)?);
+        let (list, other) = if na.len() <= nb.len() {
+            (na, b)
+        } else {
+            (nb, a)
+        };
+        list.iter().find(|n| n.node as usize == other).copied()
+    }
+
+    /// The link table index of the link joining `a` and `b`.
+    fn link_index(&self, a: ProcessId, b: ProcessId) -> Option<usize> {
+        self.find(a.0, b.0).map(|nb| nb.link as usize)
+    }
+
+    /// `node`'s adjacency entry for link `link`.
+    fn neighbor_mut(&mut self, node: usize, link: usize) -> &mut Neighbor {
+        self.adjacency[node]
+            .iter_mut()
+            .find(|n| n.link as usize == link)
+            .expect("a link sits in both endpoints' adjacency lists")
+    }
+
+    /// Sets link `i`'s cut state in both adjacency entries. Returns
+    /// `true` if the state changed.
+    fn set_cut(&mut self, i: usize, cut: bool) -> bool {
+        let slot = self.links[i];
+        let (a, b) = slot.ends();
+        let weight = if cut { CUT } else { slot.link.weight() };
+        let nb = self.neighbor_mut(a, i);
+        if (nb.weight == CUT) == cut {
+            return false;
+        }
+        nb.weight = weight;
+        self.neighbor_mut(b, i).weight = weight;
+        true
+    }
+
     fn invalidate(&mut self) {
+        self.trees.clear();
         self.path_cache.clear();
         self.clear_routes();
     }
@@ -351,99 +509,133 @@ impl Network {
     }
 
     /// Resolves and flattens the `(from, to)` route into per-hop link data,
-    /// caching the result in `from`'s route list. `None` records a
-    /// partition.
-    fn resolve_hops(&mut self, from: usize, to: usize) -> Option<&[CachedHop]> {
+    /// caching the result in `from`'s route list, and returns its position
+    /// there. `None` hops record a partition.
+    fn resolve_hops(&mut self, from: usize, to: usize) -> usize {
         if self.routes.len() < self.nodes.len() {
             self.routes.resize_with(self.nodes.len(), Vec::new);
         }
-        let pos = match self.routes[from].binary_search_by_key(&(to as u32), |e| e.0) {
-            Ok(i) => i,
-            Err(i) => {
-                let hops = self.path_indices(from, to).map(|path| {
-                    path.windows(2)
-                        .map(|pair| {
-                            let k = if pair[0] <= pair[1] {
-                                (pair[0], pair[1])
-                            } else {
-                                (pair[1], pair[0])
-                            };
-                            let link = self.links[&k];
-                            CachedHop {
-                                loss: link.loss,
-                                latency: link.latency,
-                                factor: self.degraded.get(&k).copied(),
-                            }
-                        })
-                        .collect()
-                });
-                self.routes[from].insert(i, (to as u32, hops));
-                i
-            }
-        };
-        self.routes[from][pos].1.as_deref()
+        let hops = self.path_indices(from, to).map(|path| {
+            path.windows(2)
+                .map(|pair| {
+                    let nb = self.find(pair[0], pair[1]).expect("a path hop is a link");
+                    let slot = self.links[nb.link as usize];
+                    CachedHop {
+                        loss: slot.link.loss,
+                        latency: slot.link.latency,
+                        factor: slot.factor,
+                    }
+                })
+                // riot-lint: allow(A1, reason = "cold: one flattened route per (from, to) per topology or degradation change; warm sends hit the cached copy")
+                .collect()
+        });
+        let list = &mut self.routes[from];
+        let pos = list.partition_point(|e| e.0 < to as u32);
+        list.insert(pos, (to as u32, hops));
+        pos
     }
 
     fn path_indices(&mut self, from: usize, to: usize) -> Option<Vec<usize>> {
         if from >= self.nodes.len() || to >= self.nodes.len() {
             return None;
         }
-        if let Some(cached) = self.path_cache.get(&(from, to)) {
-            return cached.clone();
+        if let Some(pinned) = self.path_cache.get(&(from, to)) {
+            // riot-lint: allow(A1, reason = "cold: a tied pair's pinned path, copied once per route-cache miss")
+            return Some(pinned.clone());
         }
-        let result = self.dijkstra(from, to);
-        self.path_cache.insert((from, to), result.clone());
-        if let Some(p) = &result {
-            // A path is symmetric under this cost model; prime the reverse.
-            let mut rev = p.clone();
-            rev.reverse();
-            self.path_cache.insert((to, from), Some(rev));
+        let (root, other) = (from.min(to), from.max(to));
+        let tree = self.tree(root);
+        if !tree[other].tied {
+            // Unique shortest path: every search finds this one.
+            let mut path = tree_path(tree, other)?;
+            if root == from {
+                path.reverse();
+            }
+            return Some(path);
         }
-        result
+        // Tied (so reachable): the answer of a search from `from`, pinned
+        // with its reverse so the pair keeps the first asker's choice.
+        let rev = tree_path(self.tree(from), to)?;
+        // riot-lint: allow(A1, reason = "cold: tied pairs are pinned once per topology change")
+        let mut path = rev.clone();
+        path.reverse();
+        self.path_cache.insert((to, from), rev);
+        // riot-lint: allow(A1, reason = "cold: tied pairs are pinned once per topology change")
+        self.path_cache.insert((from, to), path.clone());
+        Some(path)
     }
 
-    fn dijkstra(&self, from: usize, to: usize) -> Option<Vec<usize>> {
-        use std::cmp::Reverse;
+    /// The shortest-path tree rooted at `root`, built on first use after a
+    /// topology change.
+    fn tree(&mut self, root: usize) -> &[TreeNode] {
+        if !self.trees.contains_key(&root) {
+            let tree = self.build_tree(root);
+            self.trees.insert(root, tree);
+        }
+        &self.trees[&root]
+    }
+
+    /// One full Dijkstra from `root`. The heap orders by `(distance,
+    /// node)` and relaxation is strict, so ties go to the node settled
+    /// first; an equal-cost relaxation only marks the target tied, and a
+    /// node inherits its parent's mark.
+    fn build_tree(&mut self, root: usize) -> Box<[TreeNode]> {
         let n = self.nodes.len();
-        let mut dist = vec![u64::MAX; n];
-        let mut prev = vec![usize::MAX; n];
-        let mut heap = BinaryHeap::new();
-        dist[from] = 0;
-        heap.push(Reverse((0u64, from)));
+        let unreached = TreeNode {
+            parent: UNREACHED,
+            tied: false,
+        };
+        // riot-lint: allow(A1, reason = "cold: one tree per root per topology change")
+        let mut tree = vec![unreached; n].into_boxed_slice();
+        let dist = &mut self.dist;
+        dist.clear();
+        dist.resize(n, u64::MAX);
+        let heap = &mut self.heap;
+        heap.clear();
+        dist[root] = 0;
+        tree[root].parent = root as u32;
+        heap.push(Reverse((0, root)));
         while let Some(Reverse((d, u))) = heap.pop() {
-            if u == to {
-                break;
-            }
             if d > dist[u] {
                 continue;
             }
-            for &v in &self.adjacency[u] {
-                let k = if u <= v { (u, v) } else { (v, u) };
-                if self.cut.contains(&k) {
+            let tied = tree[u].tied;
+            for nb in &self.adjacency[u] {
+                if nb.weight == CUT {
                     continue;
                 }
-                let link = &self.links[&k];
-                let w = link.latency.mean().as_micros().max(1);
-                let nd = d.saturating_add(w);
+                let v = nb.node as usize;
+                let nd = d.saturating_add(nb.weight);
                 if nd < dist[v] {
                     dist[v] = nd;
-                    prev[v] = u;
+                    tree[v] = TreeNode {
+                        parent: u as u32,
+                        tied,
+                    };
                     heap.push(Reverse((nd, v)));
+                } else if nd == dist[v] {
+                    tree[v].tied = true;
                 }
             }
         }
-        if dist[to] == u64::MAX {
-            return None;
-        }
-        let mut path = vec![to];
-        let mut cur = to;
-        while cur != from {
-            cur = prev[cur];
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
+        tree
     }
+}
+
+/// The tree path from `node` up to the tree's root, both included; `None`
+/// when the root does not reach `node`.
+fn tree_path(tree: &[TreeNode], node: usize) -> Option<Vec<usize>> {
+    if tree[node].parent == UNREACHED {
+        return None;
+    }
+    // riot-lint: allow(A1, reason = "cold: one path per route-cache miss")
+    let mut path = vec![node];
+    let mut cur = node;
+    while tree[cur].parent as usize != cur {
+        cur = tree[cur].parent as usize;
+        path.push(cur);
+    }
+    Some(path)
 }
 
 impl Default for Network {
@@ -470,7 +662,16 @@ impl<M> Medium<M> for Network {
             return Delivery::After(SimDuration::ZERO);
         }
         let overhead = self.per_hop_overhead;
-        let Some(hops) = self.resolve_hops(from.0, to.0) else {
+        // Warm lookup: one index plus a binary search.
+        let cached = self
+            .routes
+            .get(from.0)
+            .map(|list| list.binary_search_by_key(&(to.0 as u32), |e| e.0));
+        let pos = match cached {
+            Some(Ok(pos)) => pos,
+            _ => self.resolve_hops(from.0, to.0),
+        };
+        let Some(hops) = self.routes[from.0][pos].1.as_deref() else {
             return Delivery::Drop("partition");
         };
         // RNG discipline: per hop, one `chance` draw then one latency

@@ -36,6 +36,12 @@ if [[ "$quick" == "0" ]]; then
   echo "==> cargo test (workspace)"
   cargo test --quiet
 
+  echo "==> routing differential (per-root trees vs the per-pair reference resolver)"
+  cargo test --quiet -p riot-net --test route_differential
+
+  echo "==> perfbench self-tests (the benchmark's own package)"
+  cargo test --quiet --manifest-path perfbench/Cargo.toml
+
   echo "==> observability bus determinism (observers on vs off, byte-identical)"
   cargo test --quiet -p riot-core --test observer_bus
 
